@@ -1,7 +1,10 @@
-"""OSM XML import parity: the reference fixture (test-small.osm) and a
-synthetic fixture with ways/relations/nesting drive the full import pipeline
-(parse -> assemble -> reverse membership -> tag encode) into a queryable
-FeatureRepo (reference reader: /root/reference/src/osm/reader.go:40-112)."""
+"""OSM XML import parity: the reference fixture (committed as
+tests/data/test-small.osm) and a synthetic fixture with ways/relations/nesting
+drive the full import pipeline (parse -> assemble -> reverse membership -> tag
+encode) into a queryable FeatureRepo (reference reader:
+src/osm/reader.go:40-112)."""
+
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import pytest
 from simple_osm_queries_ray.pipelines.import_osm import import_osm
 from simple_osm_queries_ray.pipelines.query import QueryEngine
 
-REF_FIXTURE = "/root/reference/test-small.osm"
+REF_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "test-small.osm")
 
 WAYREL_XML = """<?xml version='1.0' encoding='UTF-8'?>
 <osm version='0.6' generator='test'>
